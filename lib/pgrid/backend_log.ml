@@ -188,9 +188,7 @@ let put t (i : item) =
   else false
 
 let remove t ~key ~item_id =
-  let present = List.exists (fun (i : item) -> String.equal i.item_id item_id) (Backend_hash.find t.mem key) in
-  if present then append t (encode_remove ~key ~item_id);
-  Backend_hash.remove t.mem ~key ~item_id
+  if Backend_hash.remove_found t.mem ~key ~item_id then append t (encode_remove ~key ~item_id)
 
 let find t key = Backend_hash.find t.mem key
 let range t ~lo ~hi = Backend_hash.range t.mem ~lo ~hi

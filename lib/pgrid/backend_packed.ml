@@ -15,8 +15,10 @@
    - An item is then a row across flat int columns instead of a boxed
      record + list cell in a balanced map.
    The per-item point index is a per-key singly-linked slot chain
-   ([head]/[next] int arrays) rather than a hashtable, trading O(dups)
-   id lookups on put/remove for zero per-item index cells. [stats]
+   ([head]/[next] int arrays) rather than a hashtable: zero per-item
+   index cells, at the price of O(dups) id lookups — which an
+   {!Idfilter} over the stored (key, item_id) pairs spares every put of
+   a new item. [stats]
    sums this layout deterministically; test_store.ml asserts it lands
    strictly below {!Backend_hash.stats} on a 100k Zipf load and
    BENCH_store.json records the margin.
@@ -58,6 +60,7 @@ type t = {
   mutable next_seq : int;
   mutable sorted : int array;  (* slots by (key asc, seq desc); may hold tombstones *)
   mutable sorted_valid : bool;
+  filter : Idfilter.t;
 }
 
 let create () =
@@ -82,6 +85,7 @@ let create () =
     next_seq = 0;
     sorted = [||];
     sorted_valid = true;
+    filter = Idfilter.create ();
   }
 
 (* ------------------------------------------------------------------ *)
@@ -252,9 +256,26 @@ let find_slot t kid item_id =
   in
   go t.head.(kid)
 
+let rebuild_filter t =
+  Idfilter.rebuild t.filter ~live:t.n_live (fun add ->
+      for kid = 0 to t.n_keys - 1 do
+        if t.head.(kid) >= 0 then begin
+          let key = span t t.k_off.(kid) t.k_len.(kid) in
+          let rec go s =
+            if s >= 0 then begin
+              add (Idfilter.hash key (span t t.id_off.(s) t.id_len.(s)));
+              go t.next.(s)
+            end
+          in
+          go t.head.(kid)
+        end
+      done)
+
 let put t (i : item) =
+  if Idfilter.full t.filter then rebuild_filter t;
   let kid = intern_key t i.key in
-  let s = find_slot t kid i.item_id in
+  let h = Idfilter.hash i.key i.item_id in
+  let s = if t.head.(kid) >= 0 && Idfilter.mem t.filter h then find_slot t kid i.item_id else -1 in
   if s >= 0 then
     if i.version >= t.ver.(s) then begin
       (* LWW in place: the slot (and its seq) survives, so the item
@@ -283,6 +304,7 @@ let put t (i : item) =
     t.n_slots <- t.n_slots + 1;
     t.n_live <- t.n_live + 1;
     t.sorted_valid <- false;
+    Idfilter.add t.filter h;
     true
   end
 
@@ -428,15 +450,17 @@ let clear t =
   t.n_live <- 0;
   t.next_seq <- 0;
   t.sorted <- [||];
-  t.sorted_valid <- true
+  t.sorted_valid <- true;
+  Idfilter.clear t.filter
 
 (* Same accounting model as {!Backend_hash.stats}: deterministic heap
    estimates, not GC measurements. Arena data, the key-dictionary
    columns and cells, the eight int columns and liveness bytes (all at
-   capacity — array slack is a real cost), and the sorted view. *)
+   capacity — array slack is a real cost), the sorted view and the
+   membership filter. *)
 let stats t =
   let bytes =
-    24 + Buffer.length t.arena
+    Idfilter.bytes t.filter + 24 + Buffer.length t.arena
     + (8 * 3 * Array.length t.k_off)
     + (8 * 8 * Array.length t.key_t)
     + (Bytes.length t.live + 24)

@@ -1130,36 +1130,63 @@ let handle_replicate t (me : Node.t) ~item ~rounds_left =
       targets
   end
 
+(* What a [SyncDigest] receiver learns about one digest entry: their
+   version, and whether (and at which version) the local store holds
+   the pair. *)
+type sync_mark = { theirs : int; mutable held : bool; mutable mine : int }
+
 let handle_sync t ~(me : Node.t) ~src msg =
   match (msg : Message.t) with
   | SyncDigest { digest } ->
-    let theirs = Hashtbl.create (List.length digest) in
-    List.iter (fun (k, id, v) -> Hashtbl.replace theirs (k, id) v) digest;
-    (* Items they are missing or hold stale. *)
+    (* One mark per digest entry; the table keeps the last mark of each
+       (key, id) pair, as a table of their versions would. *)
+    let marks = Hashtbl.create (List.length digest) in
+    let entries =
+      List.map
+        (fun (k, id, v) ->
+          let m = { theirs = v; held = false; mine = 0 } in
+          Hashtbl.replace marks (k, id) m;
+          (k, id, m))
+        digest
+    in
+    (* One pass over the local store answers both directions: items they
+       are missing or hold stale go into [to_send], and every pair their
+       digest names is marked with my version. *)
     let to_send = ref [] in
     Store.iter me.store (fun i ->
-        match Hashtbl.find_opt theirs (i.key, i.item_id) with
-        | Some v when v >= i.version -> ()
-        | _ -> to_send := i :: !to_send);
+        match Hashtbl.find_opt marks (i.key, i.item_id) with
+        | Some m ->
+          m.held <- true;
+          m.mine <- i.version;
+          if m.theirs < i.version then to_send := i :: !to_send
+        | None -> to_send := i :: !to_send);
     if !to_send <> [] then Net.send t.net ~src:me.id ~dst:src (Message.SyncItems { items = !to_send });
-    (* Items I am missing or hold stale. *)
+    (* Items I am missing or hold stale: the digest entries no local
+       item of equal or newer version covers, in digest order. A pair
+       listed twice is marked on its last entry only; the earlier ones
+       read that mark. *)
     let wanted =
       List.filter_map
-        (fun (k, id, v) ->
-          let mine = Store.find me.store k in
-          match List.find_opt (fun (i : Store.item) -> String.equal i.item_id id) mine with
-          | Some i when i.version >= v -> None
-          | _ -> Some (k, id))
-        digest
+        (fun (k, id, m) ->
+          let seen = if m.held then m else Hashtbl.find marks (k, id) in
+          if seen.held && seen.mine >= m.theirs then None else Some (k, id))
+        entries
     in
     if wanted <> [] then Net.send t.net ~src:me.id ~dst:src (Message.SyncRequest { wanted })
   | SyncRequest { wanted } ->
-    let items =
-      List.filter_map
-        (fun (k, id) ->
-          List.find_opt (fun (i : Store.item) -> String.equal i.item_id id) (Store.find me.store k))
-        wanted
+    (* One [Store.find] per distinct key rather than per entry: a
+       replica that fell behind asks for many items under each hot key. *)
+    let by_key = Hashtbl.create 16 in
+    let held k =
+      match Hashtbl.find_opt by_key k with
+      | Some ids -> ids
+      | None ->
+        let ids = Hashtbl.create 8 in
+        List.iter (fun (i : Store.item) -> Hashtbl.replace ids i.item_id i) (Store.find me.store k);
+        Hashtbl.add by_key k ids;
+        ids
     in
+    let items = List.filter_map (fun (k, id) -> Hashtbl.find_opt (held k) id) wanted in
     if items <> [] then Net.send t.net ~src:me.id ~dst:src (Message.SyncItems { items })
   | SyncItems { items } ->
     List.iter (fun i -> if Store.put me.store i then Node.bump_epoch me) items

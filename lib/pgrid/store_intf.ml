@@ -5,9 +5,9 @@
    above all talk to {!Store}, which dispatches to one of three
    backends implementing this signature:
 
-   - {!Backend_hash}: the original ordered-map store, unchanged — the
-     default, and the reference implementation the differential test
-     harness replays every backend against;
+   - {!Backend_hash}: the original ordered-map store — the default,
+     and the reference implementation the differential test harness
+     replays every backend against;
    - {!Backend_log}: a file-backed log-structured store (append-only
      records + the hash store as its in-memory index). Survives
      crash-restart: a revived peer replays its log and lets
@@ -18,6 +18,20 @@
      for binary-searched prefix/range lookups, after "Compressed
      Vertical Partitioning for Full-In-Memory RDF Management"
      (PAPERS.md).
+
+   Write cost: hash and packed (and through hash, the log's index)
+   each keep an {!Idfilter} — a Bloom-style bitset over the stored
+   (key, item_id) pairs, 3 probes, 16 bits per live item after a
+   rebuild and never fewer than 8 — and consult it before walking a
+   key's items to deduplicate a put. "Absent" is exact, so a new item
+   is stored without the walk; only a possible duplicate (an idempotent
+   retry, an LWW update, a stale write or a ~0.5-3% false positive) pays
+   for the walk it always paid for. The filter is rebuilt from the live
+   items once the insertions since the last rebuild reach its
+   capacity, so removals and LWW churn cannot saturate it and the
+   rebuild amortizes to O(1) per insertion: a put of a new item costs
+   O(1) expected plus the key lookup, instead of O(items under its
+   key).
 
    Ordering contract (load-bearing — see the differential suite in
    test/test_store.ml): every scan (find/range/with_prefix/iter/

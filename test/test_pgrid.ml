@@ -418,6 +418,124 @@ let test_update_and_gossip_convergence () =
   | [ i ] -> check Alcotest.string "new payload" "v1" i.Store.payload
   | l -> Alcotest.failf "expected 1 item, got %d" (List.length l))
 
+(* Two replicas holding disjoint and stale halves of a hot key and a few
+   cold ones. The single-pass SyncDigest handler must send exactly what
+   the per-entry computation it replaced sends — the same SyncItems and
+   the same SyncRequest list, in the same order, also for a reordered
+   digest that names a pair twice — and a real exchange must converge
+   both stores to the newest version of every pair. *)
+let per_entry_to_send store digest =
+  let theirs = Hashtbl.create 16 in
+  List.iter (fun (k, id, v) -> Hashtbl.replace theirs (k, id) v) digest;
+  let acc = ref [] in
+  Store.iter store (fun i ->
+      match Hashtbl.find_opt theirs (i.Store.key, i.Store.item_id) with
+      | Some v when v >= i.Store.version -> ()
+      | _ -> acc := i :: !acc);
+  !acc
+
+let find_id store k id =
+  List.find_opt (fun (i : Store.item) -> String.equal i.Store.item_id id) (Store.find store k)
+
+let per_entry_wanted store digest =
+  List.filter_map
+    (fun (k, id, v) ->
+      match find_id store k id with Some i when i.Store.version >= v -> None | _ -> Some (k, id))
+    digest
+
+let test_anti_entropy_halves backend () =
+  let config = { Config.default with store_backend = backend } in
+  let ov = build_overlay ~n:4 ~config ~keys:[] () in
+  let a = Overlay.node ov 0 and b = Overlay.node ov 1 in
+  Store.clear a.Node.store;
+  Store.clear b.Node.store;
+  let newest = Hashtbl.create 64 in
+  let put (nd : Node.t) key id version =
+    let it = item ~version key id (Printf.sprintf "%s/%s@%d" key id version) in
+    ignore (Store.put nd.Node.store it);
+    match Hashtbl.find_opt newest (key, id) with
+    | Some (cur : Store.item) when cur.Store.version >= version -> ()
+    | _ -> Hashtbl.replace newest (key, id) it
+  in
+  for i = 0 to 799 do
+    let key = if i mod 7 = 0 then Printf.sprintf "cold#%d" (i mod 5) else "hot" in
+    let id = Printf.sprintf "id%03d" i in
+    match i mod 5 with
+    | 0 -> put a key id 1
+    | 1 -> put b key id 1
+    | 2 ->
+      put a key id 2;
+      put b key id 1
+    | 3 ->
+      put b key id 3;
+      put a key id 1
+    | _ ->
+      put a key id 2;
+      put b key id 2
+  done;
+  let net = Overlay.net ov in
+  let probe = 100 in
+  let got = ref [] in
+  Net.register net probe (fun ~src:_ m -> got := m :: !got);
+  let exchange (me : Node.t) m =
+    got := [];
+    Overlay.handle_sync ov ~me ~src:probe m;
+    Sim.run_all (Overlay.sim ov);
+    let sent = ref [] and wanted = ref [] in
+    List.iter
+      (function
+        | Message.SyncItems { items } -> sent := items
+        | Message.SyncRequest { wanted = w } -> wanted := w
+        | _ -> Alcotest.fail "unexpected reply to a sync message")
+      !got;
+    (!sent, !wanted)
+  in
+  let pairs = List.map (fun (i : Store.item) -> (i.Store.key, i.Store.item_id, i.Store.version)) in
+  let digest_b = Store.digest b.Node.store in
+  (* A pair both hold, listed twice at a version a covers. *)
+  let dup =
+    match List.find_opt (fun (k, id, _) -> find_id a.Node.store k id <> None) digest_b with
+    | Some (k, id, _) -> [ (k, id, 0) ]
+    | None -> Alcotest.fail "no shared pair"
+  in
+  List.iter
+    (fun (label, digest) ->
+      let sent, wanted = exchange a (Message.SyncDigest { digest }) in
+      check
+        Alcotest.(list (triple string string int))
+        (label ^ ": SyncItems as per entry")
+        (pairs (per_entry_to_send a.Node.store digest))
+        (pairs sent);
+      check
+        Alcotest.(list (pair string string))
+        (label ^ ": SyncRequest as per entry")
+        (per_entry_wanted a.Node.store digest)
+        wanted;
+      check Alcotest.bool (label ^ ": something wanted") true (wanted <> []);
+      let served, _ = exchange b (Message.SyncRequest { wanted }) in
+      check
+        Alcotest.(list (triple string string int))
+        (label ^ ": SyncRequest served as per entry")
+        (pairs (List.filter_map (fun (k, id) -> find_id b.Node.store k id) wanted))
+        (pairs served))
+    [ ("digest", digest_b); ("reordered digest with a repeat", dup @ List.rev digest_b @ dup) ];
+  (* A real round trip: b's digest to a, a's items and request back. *)
+  Net.send net ~src:b.Node.id ~dst:a.Node.id (Message.SyncDigest { digest = Store.digest b.Node.store });
+  Sim.run_all (Overlay.sim ov);
+  let contents (nd : Node.t) =
+    List.sort compare
+      (List.map
+         (fun (i : Store.item) -> (i.Store.key, i.Store.item_id, i.Store.payload))
+         (Store.to_list nd.Node.store))
+  in
+  let want =
+    List.sort compare
+      (Hashtbl.fold (fun _ (i : Store.item) acc -> (i.Store.key, i.Store.item_id, i.Store.payload) :: acc) newest [])
+  in
+  check Alcotest.int "every pair present" 800 (List.length want);
+  check Alcotest.(list (triple string string string)) "a converged" want (contents a);
+  check Alcotest.(list (triple string string string)) "b converged" want (contents b)
+
 let test_stale_update_ignored () =
   let ov = build_overlay ~n:8 ~keys:[ "k" ] () in
   ignore (Overlay.insert_sync ov ~origin:0 ~key:"k" ~item_id:"x" ~payload:"v5" ~version:5 ());
@@ -863,6 +981,10 @@ let () =
           Alcotest.test_case "lookups survive failures" `Quick test_failure_lookup_retries;
           Alcotest.test_case "lookups under message loss" `Quick test_lookups_under_message_loss;
           Alcotest.test_case "update + anti-entropy converge" `Quick test_update_and_gossip_convergence;
+          Alcotest.test_case "anti-entropy of disjoint, stale halves (hash)" `Quick
+            (test_anti_entropy_halves Store.Hash);
+          Alcotest.test_case "anti-entropy of disjoint, stale halves (packed)" `Quick
+            (test_anti_entropy_halves Store.Packed);
           Alcotest.test_case "stale update ignored" `Quick test_stale_update_ignored;
           Alcotest.test_case "send_task" `Quick test_send_task;
           Alcotest.test_case "delete" `Quick test_delete;

@@ -396,6 +396,109 @@ let test_clear_then_reuse () =
         (match Store.kind s with Store.Log _ -> 1 | _ -> 0)
         (Store.crash_restart s))
 
+(* Thousands of items under one key: fresh puts, idempotent retries,
+   stale versions, LWW updates, removes and re-puts of removed items, on
+   every backend against the model. The stores' membership filters
+   rebuild many times on the way (a rebuild sizes for twice the live
+   items, at least 64), so a false negative across a rebuild would show
+   up as a duplicate. *)
+let test_hot_key () =
+  with_log_dir "hotkey" (fun dir ->
+      let backends = make_backends dir "hotkey" in
+      let model = Model.create () in
+      let rng = Rng.create 17 in
+      let pairs = ref [||] and n_pairs = ref 0 in
+      let remember key id =
+        if !n_pairs = Array.length !pairs then
+          pairs := Array.append !pairs (Array.make (max 64 !n_pairs) ("", ""));
+        !pairs.(!n_pairs) <- (key, id);
+        incr n_pairs
+      in
+      let current key id =
+        List.find_opt
+          (fun (e : Store.item) -> String.equal e.Store.key key && String.equal e.Store.item_id id)
+          model.Model.entries
+      in
+      let inserted = ref 0 in
+      let ctx = "hot key" in
+      for step = 1 to 6000 do
+        let r = Rng.int rng 100 in
+        let op =
+          if r < 50 || !n_pairs = 0 then begin
+            let key = if Rng.int rng 10 < 9 then "h#hot" else Printf.sprintf "c#%d" (Rng.int rng 4) in
+            let id = Printf.sprintf "id%05d" step in
+            remember key id;
+            Put (item ~version:(Rng.int rng 3) key id (Printf.sprintf "new%d" step))
+          end
+          else begin
+            let key, id = !pairs.(Rng.int rng !n_pairs) in
+            let cur = current key id in
+            let v = match cur with Some e -> e.Store.version | None -> 0 in
+            let payload = match cur with Some e -> e.Store.payload | None -> "re-put" in
+            if r < 62 then Put (item ~version:v key id payload)  (* retry *)
+            else if r < 70 then Put (item ~version:(v - 1) key id "stale")
+            else if r < 82 then Put (item ~version:(v + 1) key id (Printf.sprintf "lww%d" step))
+            else if r < 94 then Remove { key; item_id = id }
+            else Put (item ~version:v key id (Printf.sprintf "back%d" step))
+          end
+        in
+        let before = Model.size model in
+        apply_op ~ctx backends model op;
+        if Model.size model > before then incr inserted;
+        if step mod 1500 = 0 then
+          check_against_model ~ctx:(Printf.sprintf "%s step %d" ctx step) backends model
+            [ "h#hot"; "c#0"; "c#3" ]
+      done;
+      check Alcotest.bool
+        (Printf.sprintf "%d insertions force many filter rebuilds" !inserted)
+        true (!inserted > 2000);
+      check Alcotest.bool "hot key holds thousands" true (List.length (Model.find model "h#hot") > 1000))
+
+(* The filter never forgets a pair added since its last rebuild, and a
+   rebuild from the live pairs keeps every one of them. Removed pairs
+   may stay positive; never-added pairs mostly test negative. *)
+let test_idfilter_no_false_negatives () =
+  let module F = Unistore_pgrid.Idfilter in
+  let f = F.create () in
+  let rng = Rng.create 3 in
+  (* Live pairs in [live.(0 .. !n - 1)]; removal swaps the last one in. *)
+  let live = Array.make 20_000 ("", "") and n = ref 0 in
+  let rebuilds = ref 0 in
+  for step = 1 to 20_000 do
+    if Rng.int rng 4 = 0 && !n > 0 then begin
+      let j = Rng.int rng !n in
+      decr n;
+      live.(j) <- live.(!n)
+    end
+    else begin
+      if F.full f then begin
+        incr rebuilds;
+        F.rebuild f ~live:!n (fun add ->
+            for j = 0 to !n - 1 do
+              add (F.hash (fst live.(j)) (snd live.(j)))
+            done)
+      end;
+      let key = Printf.sprintf "k%d" (Rng.int rng 50) and id = Printf.sprintf "id%d" step in
+      F.add f (F.hash key id);
+      live.(!n) <- (key, id);
+      incr n
+    end;
+    if step mod 1000 = 0 then
+      for j = 0 to !n - 1 do
+        let k, id = live.(j) in
+        if not (F.mem f (F.hash k id)) then Alcotest.failf "step %d: false negative for %s/%s" step k id
+      done
+  done;
+  check Alcotest.bool (Printf.sprintf "%d rebuilds" !rebuilds) true (!rebuilds >= 2);
+  let fp = ref 0 in
+  for i = 1 to 10_000 do
+    if F.mem f (F.hash "never" (string_of_int i)) then incr fp
+  done;
+  check Alcotest.bool (Printf.sprintf "false-positive rate %d/10000 below 5%%" !fp) true (!fp < 500);
+  F.clear f;
+  check Alcotest.bool "cleared filter holds nothing" false (F.mem f (F.hash "k1" "id1"));
+  check Alcotest.bool "cleared filter asks for a rebuild" true (F.full f)
+
 (* ------------------------------------------------------------------ *)
 (* Log backend: crash/restart and torn tails                           *)
 
@@ -697,6 +800,9 @@ let () =
               run_random_trace ~seed:2 ~batches:12 ~batch_len:40 ());
           Alcotest.test_case "random trace seed 3" `Quick (fun () ->
               run_random_trace ~seed:3 ~batches:8 ~batch_len:120 ());
+          Alcotest.test_case "hot key: thousands of items under one key" `Quick test_hot_key;
+          Alcotest.test_case "membership filter: no false negatives across rebuilds" `Quick
+            test_idfilter_no_false_negatives;
         ] );
       ( "log",
         [
